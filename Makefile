@@ -45,11 +45,12 @@ race:
 	$(GO) test -race -timeout 30m ./...
 
 # Allocation-regression tests (testing.AllocsPerRun) pin the per-sample
-# hot paths at zero allocations (see PERFORMANCE.md). They are tagged
+# hot paths at zero allocations, and bound the heap of one paged-memory
+# Table 7 trial (see PERFORMANCE.md). They are tagged
 # !race — race instrumentation allocates on its own — so the race suite
 # skips them and check runs them here without the detector.
 allocs:
-	$(GO) test -run 'TestAllocs' -count=1 ./internal/machine ./internal/ild ./internal/telemetry
+	$(GO) test -run 'TestAllocs' -count=1 ./internal/machine ./internal/ild ./internal/telemetry ./internal/experiments
 
 # bench runs every benchmark once and converts the output into the
 # machine-readable BENCH_<sha>.json record (see cmd/benchjson). The

@@ -184,22 +184,6 @@ func New(cfg Config) (*Runtime, error) {
 	return rt, nil
 }
 
-// Reset returns the runtime to its freshly-constructed state so campaign
-// schedulers can reuse the device — and its >100 MB of memory arrays —
-// across trials instead of rebuilding it per trial (see PERFORMANCE.md).
-// Memory contents, ECC codes, allocator watermarks, cache lines, and all
-// device statistics are cleared; the configuration, bus mapping, and
-// telemetry instruments are kept, exactly as if New had been called with
-// the same config. Callers must not reuse a runtime across different
-// configs: pool per config instead.
-func (r *Runtime) Reset() {
-	r.dram.Reset()
-	r.storage.Reset()
-	r.cache.Reset()
-	r.inputBytes = 0
-	r.diskLoaded = 0
-}
-
 // Config returns the runtime configuration.
 func (r *Runtime) Config() Config { return r.cfg }
 

@@ -226,14 +226,10 @@ func AblationScheduling(c SEUConfig) (*Table, error) {
 		fmt.Sprintf("%.4f", emrRes.Report.Makespan.Seconds()), "yes")
 
 	// Fully serialized: every pair conflicts.
-	cfg := emr.DefaultConfig()
-	cfg.DRAMSize = 256 << 20
-	cfg.StorageSize = 256 << 20
-	rt, err := getRuntime(cfg)
+	rt, err := emr.New(seuDevice(fault.SchemeEMR, emr.FrontierDRAM, nil))
 	if err != nil {
 		return nil, err
 	}
-	defer putRuntime(cfg, rt)
 	spec, err := b.Build(rt, c.Size, c.Seed)
 	if err != nil {
 		return nil, err
@@ -264,15 +260,12 @@ func AblationCacheECC(c SEUConfig) (*Table, error) {
 	variants := []bool{false, true}
 	rows, err := sched.Map(len(variants), c.Workers, func(i int) ([]string, error) {
 		ecc := variants[i]
-		cfg := emr.DefaultConfig()
+		cfg := seuDevice(fault.SchemeEMR, emr.FrontierDRAM, nil)
 		cfg.CacheECC = ecc
-		cfg.DRAMSize = 256 << 20
-		cfg.StorageSize = 256 << 20
-		rt, err := getRuntime(cfg)
+		rt, err := emr.New(cfg)
 		if err != nil {
 			return nil, err
 		}
-		defer putRuntime(cfg, rt)
 		spec, err := b.Build(rt, c.Size, c.Seed)
 		if err != nil {
 			return nil, err

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"time"
@@ -18,7 +17,6 @@ import (
 	"radshield/internal/resultcache"
 	"radshield/internal/sched"
 	"radshield/internal/trace"
-	"radshield/internal/workloads"
 )
 
 // Adaptive campaign: the closed-loop question the static campaigns
@@ -558,7 +556,7 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 
 		if tel.T >= nextContact {
 			nextContact += c.ContactEvery
-			res, err := adaptivePayload(posture, seed+int64(tel.T), pendingSEUs, golden)
+			res, err := strikePayload(postureDevice(posture), seed+int64(tel.T), pendingSEUs, golden)
 			if err != nil {
 				loopErr = err
 				return
@@ -620,21 +618,10 @@ func flyAdaptiveArm(c AdaptiveCampaignConfig, prof mission.Profile, model *linmo
 	return arm, nil
 }
 
-// adaptivePayloadResult is one contact's outcome.
-type adaptivePayloadResult struct {
-	sdc       bool
-	corrected int
-	vetoed    int
-	energyJ   float64
-}
-
-// adaptivePayload runs the payload job under the posture's redundancy
-// rung with the SEU backlog striking the cache. The ladder's semantics:
-// serial+checksum and DMR detect (vetoed output, retried clean), TMR
-// corrects (outvoted); only a corrupted output that survives to
-// comparison is SDC.
-func adaptivePayload(p adapt.Posture, seed int64, seus int, golden [][]byte) (adaptivePayloadResult, error) {
-	var out adaptivePayloadResult
+// postureDevice returns the payload board under the posture's
+// redundancy rung. The ladder's semantics: serial+checksum and DMR
+// detect (vetoed output, retried clean), TMR corrects (outvoted).
+func postureDevice(p adapt.Posture) emr.Config {
 	cfg := emr.DefaultConfig()
 	switch {
 	case p.SerialChecksum:
@@ -647,40 +634,5 @@ func adaptivePayload(p adapt.Posture, seed int64, seus int, golden [][]byte) (ad
 		cfg.Scheme = fault.SchemeEMR
 		cfg.Executors = 3
 	}
-	rt, err := getRuntime(cfg)
-	if err != nil {
-		return out, err
-	}
-	defer putRuntime(cfg, rt)
-	spec, err := workloads.ImageProcessing().Build(rt, 32<<10, 2026)
-	if err != nil {
-		return out, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	remaining := seus
-	spec.Hook = func(hp *emr.HookPoint) {
-		if remaining > 0 && hp.Phase == emr.PhaseAfterRead && rng.Float64() < 0.05 {
-			reg := hp.Regions[rng.Intn(len(hp.Regions))]
-			f := fault.RandomFlip(rng, reg.Len)
-			if rt.Cache().FlipBit(reg.Addr+f.Offset, f.Bit) {
-				remaining--
-			}
-		}
-	}
-	res, err := rt.Run(spec)
-	if err != nil {
-		return out, err
-	}
-	out.corrected = res.Report.Votes.Corrected
-	out.energyJ = res.Report.EnergyJ
-	for i := range golden {
-		if res.Outputs[i] == nil {
-			out.vetoed++ // detected → retried clean; not SDC
-			continue
-		}
-		if !bytes.Equal(res.Outputs[i], golden[i]) {
-			out.sdc = true
-		}
-	}
-	return out, nil
+	return cfg
 }

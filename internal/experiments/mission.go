@@ -208,11 +208,10 @@ func accumulate(t *MissionTally, r missionResult) {
 func missionGolden() ([][]byte, error) {
 	cfg := emr.DefaultConfig()
 	cfg.Scheme = fault.SchemeNone
-	rt, err := getRuntime(cfg)
+	rt, err := emr.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer putRuntime(cfg, rt)
 	spec, err := workloads.ImageProcessing().Build(rt, 32<<10, 2026)
 	if err != nil {
 		return nil, err
@@ -249,9 +248,10 @@ func flyOneMission(c MissionConfig, seed int64, shielded bool, golden [][]byte, 
 		mission = ild.InjectBubbles(mission, ild.BubblePolicy{BubbleLen: 4 * time.Second, Pause: 3 * time.Minute})
 	}
 
-	scheme := fault.SchemeUnprotectedParallel
+	payload := emr.DefaultConfig()
+	payload.Scheme = fault.SchemeUnprotectedParallel
 	if shielded {
-		scheme = fault.SchemeEMR
+		payload.Scheme = fault.SchemeEMR
 	}
 
 	nextEvent := 0
@@ -275,14 +275,14 @@ func flyOneMission(c MissionConfig, seed int64, shielded bool, golden [][]byte, 
 		}
 		if tel.T >= nextContact && payloadErr == nil {
 			nextContact += 3 * time.Hour
-			ok, corrected, err := missionPayload(scheme, seed+int64(tel.T), pendingSEUs, golden)
+			res, err := strikePayload(payload, seed+int64(tel.T), pendingSEUs, golden)
 			if err != nil {
 				payloadErr = err
 				return
 			}
 			pendingSEUs = 0
-			out.seusOutvoted += corrected
-			if !ok {
+			out.seusOutvoted += res.corrected
+			if res.sdc {
 				out.sdc = true
 			}
 		}
@@ -294,19 +294,27 @@ func flyOneMission(c MissionConfig, seed int64, shielded bool, golden [][]byte, 
 	return out, nil
 }
 
-// missionPayload runs the localization job under the scheme with the SEU
-// backlog striking the cache; detected failures are retried clean.
-func missionPayload(scheme fault.Scheme, seed int64, seus int, golden [][]byte) (ok bool, corrected int, err error) {
-	cfg := emr.DefaultConfig()
-	cfg.Scheme = scheme
-	rt, err := getRuntime(cfg)
+// payloadResult is one payload contact's outcome.
+type payloadResult struct {
+	sdc       bool
+	corrected int
+	vetoed    int
+	energyJ   float64
+}
+
+// strikePayload runs the localization job on the device cfg describes
+// with the SEU backlog striking the cache, each offset drawn over the
+// region struck. A vetoed output was detected and is retried clean; only
+// a corrupted output that survives to comparison is SDC.
+func strikePayload(cfg emr.Config, seed int64, seus int, golden [][]byte) (payloadResult, error) {
+	var out payloadResult
+	rt, err := emr.New(cfg)
 	if err != nil {
-		return false, 0, err
+		return out, err
 	}
-	defer putRuntime(cfg, rt)
 	spec, err := workloads.ImageProcessing().Build(rt, 32<<10, 2026)
 	if err != nil {
-		return false, 0, err
+		return out, err
 	}
 	rng := rand.New(rand.NewSource(seed))
 	remaining := seus
@@ -321,15 +329,18 @@ func missionPayload(scheme fault.Scheme, seed int64, seus int, golden [][]byte) 
 	}
 	res, err := rt.Run(spec)
 	if err != nil {
-		return false, 0, err
+		return out, err
 	}
+	out.corrected = res.Report.Votes.Corrected
+	out.energyJ = res.Report.EnergyJ
 	for i := range golden {
 		if res.Outputs[i] == nil {
-			continue // detected → retried clean; not SDC
+			out.vetoed++
+			continue
 		}
 		if !bytes.Equal(res.Outputs[i], golden[i]) {
-			return false, res.Report.Votes.Corrected, nil
+			out.sdc = true
 		}
 	}
-	return true, res.Report.Votes.Corrected, nil
+	return out, nil
 }

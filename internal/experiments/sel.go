@@ -159,11 +159,32 @@ type table2Episode struct {
 // paper's schedule, plus the episode windows derived from it. Episode
 // scheduling depends only on sample timestamps — never on detector
 // output — so every monitor can replay the identical stream in
-// parallel. Memory: one machine.Telemetry per sample (~220 B), ≈0.3 GB
-// for the paper-scale 4 h / 10 ms campaign; scale Duration accordingly.
+// parallel. Memory: one machine.Telemetry (64 B) plus 40 B of per-core
+// rates a core, so 224 B a sample on the 4-core board and ≈0.3 GB for
+// the paper-scale 4 h / 10 ms campaign; scale Duration accordingly.
 type table2Recording struct {
 	samples  []machine.Telemetry
 	episodes []table2Episode
+	perCore  []machine.CoreTelemetry // current chunk backing kept samples
+}
+
+// table2ChunkSamples is how many samples' per-core rates one chunk of
+// table2Recording.perCore holds.
+const table2ChunkSamples = 4096
+
+// keep appends tel to the recording. Sample's PerCore is only valid
+// until the machine's next sample, so keep copies it into the
+// recording's own chunked buffer; a full chunk is left to the samples
+// that point into it and a new one is started.
+func (rec *table2Recording) keep(tel machine.Telemetry) {
+	n := len(tel.PerCore)
+	if len(rec.perCore)+n > cap(rec.perCore) {
+		rec.perCore = make([]machine.CoreTelemetry, 0, n*table2ChunkSamples)
+	}
+	at := len(rec.perCore)
+	rec.perCore = append(rec.perCore, tel.PerCore...)
+	tel.PerCore = rec.perCore[at : at+n : at+n]
+	rec.samples = append(rec.samples, tel)
 }
 
 // recordTable2Campaign plays the Table 2 flight trace once, injecting
@@ -190,7 +211,7 @@ func recordTable2Campaign(c SELConfig) *table2Recording {
 			episodeEnd = tel.T + c.Window
 			rec.episodes = append(rec.episodes, table2Episode{start: tel.T, firstSample: k, lastSample: -1})
 		}
-		rec.samples = append(rec.samples, tel)
+		rec.keep(tel)
 		if episodeEnd >= 0 && tel.T >= episodeEnd {
 			m.ClearSEL()
 			episodeEnd = -1

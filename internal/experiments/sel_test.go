@@ -1,8 +1,14 @@
 package experiments
 
 import (
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
+
+	"radshield/internal/machine"
+	"radshield/internal/trace"
 )
 
 // quickSEL shrinks the campaign for unit-test latency while keeping
@@ -157,5 +163,35 @@ func TestAblationClassifier(t *testing.T) {
 	// a few percent FN is expected; FP must be zero.
 	if tbl.Rows[0][2] != "0.00%" {
 		t.Errorf("ILD FPR row = %v, want 0.00%% false positives", tbl.Rows[0])
+	}
+}
+
+// TestTable2RecordingKeepsSamples pins the recorder's copy: a machine's
+// Sample reuses one PerCore buffer, so every sample the Table 2
+// recording keeps must still hold its own per-core rates after later
+// samples arrive, across the recording's buffer chunks.
+func TestTable2RecordingKeepsSamples(t *testing.T) {
+	c := quickSEL()
+	m := machine.New(c.machineConfig(c.Seed))
+	flight := trace.FlightSoftware(rand.New(rand.NewSource(c.Seed)), 3*time.Minute, 4)
+	rec := &table2Recording{}
+	var want []machine.Telemetry
+	m.RunTrace(flight, func(tel machine.Telemetry) {
+		rec.keep(tel)
+		tel.PerCore = slices.Clone(tel.PerCore)
+		want = append(want, tel)
+	})
+	if len(want) <= 2*table2ChunkSamples {
+		t.Fatalf("flew %d samples, want more than two chunks of %d", len(want), table2ChunkSamples)
+	}
+	if !reflect.DeepEqual(rec.samples, want) {
+		t.Fatal("kept samples changed after later samples arrived")
+	}
+	distinct := map[float64]bool{}
+	for _, tel := range rec.samples {
+		distinct[tel.PerCore[0].InstrPerSec] = true
+	}
+	if len(distinct) < 10 {
+		t.Fatalf("only %d distinct core-0 rates; the flight is too uniform to tell", len(distinct))
 	}
 }

@@ -39,23 +39,35 @@ type SEUConfig struct {
 // DefaultSEUConfig returns the default workload sizing.
 func DefaultSEUConfig() SEUConfig { return SEUConfig{Size: 256 << 10, Seed: 42} }
 
-// runScheme executes a workload under the given scheme/frontier and
-// returns the report.
-func runScheme(b workloads.Builder, scheme fault.Scheme, frontier emr.Frontier, c SEUConfig, hook emr.Hook, threshold *float64) (*emr.Result, error) {
+// seuDevice returns the 256 MiB board the SEU experiments run on, under
+// the given scheme and frontier. Every injector draws its offsets over
+// the region it strikes, never over the device, so outcomes do not
+// depend on the board's size (TestInjectorsSampleRegionsNotDevices).
+func seuDevice(scheme fault.Scheme, frontier emr.Frontier, reg *telemetry.Registry) emr.Config {
 	cfg := emr.DefaultConfig()
 	cfg.Scheme = scheme
 	cfg.Frontier = frontier
-	cfg.Telemetry = c.Telemetry
+	cfg.Telemetry = reg
 	if frontier == emr.FrontierStorage {
 		cfg.DRAMECC = false
 	}
 	cfg.DRAMSize = 256 << 20
 	cfg.StorageSize = 256 << 20
-	rt, err := getRuntime(cfg)
+	return cfg
+}
+
+// runScheme executes a workload under the given scheme/frontier and
+// returns the report.
+func runScheme(b workloads.Builder, scheme fault.Scheme, frontier emr.Frontier, c SEUConfig, hook emr.Hook, threshold *float64) (*emr.Result, error) {
+	return runOn(seuDevice(scheme, frontier, c.Telemetry), b, c, hook, threshold)
+}
+
+// runOn executes a workload on the device cfg describes.
+func runOn(cfg emr.Config, b workloads.Builder, c SEUConfig, hook emr.Hook, threshold *float64) (*emr.Result, error) {
+	rt, err := emr.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer putRuntime(cfg, rt)
 	spec, err := b.Build(rt, c.Size, c.Seed)
 	if err != nil {
 		return nil, err
@@ -424,7 +436,7 @@ func Table7(c Table7Config) (map[string]*fault.Tally, *Table, error) {
 	outcomes, err := sched.Map(len(schemes)*c.Runs, c.Workers, func(k int) (fault.Outcome, error) {
 		return cache.CachedArm(k, func() (fault.Outcome, error) {
 			sc, run := schemes[k/c.Runs], k%c.Runs
-			outcome, err := injectOnce(b, sc.scheme, sc.mbu, c, int64(run), golden)
+			outcome, err := injectOnce(b, seuDevice(sc.scheme, emr.FrontierDRAM, c.Telemetry), sc.mbu, c, int64(run), golden)
 			if err != nil {
 				return 0, fmt.Errorf("%s run %d: %w", sc.name, run, err)
 			}
@@ -449,21 +461,15 @@ func Table7(c Table7Config) (map[string]*fault.Tally, *Table, error) {
 	return tallies, tbl, nil
 }
 
-// injectOnce runs the workload once under the scheme with a single
-// randomly-placed fault and classifies the outcome.
-func injectOnce(b workloads.Builder, scheme fault.Scheme, mbu bool, c Table7Config, run int64, golden [][]byte) (fault.Outcome, error) {
+// injectOnce runs the workload once on the device cfg describes with a
+// single randomly-placed fault and classifies the outcome.
+func injectOnce(b workloads.Builder, cfg emr.Config, mbu bool, c Table7Config, run int64, golden [][]byte) (fault.Outcome, error) {
 	rng := rand.New(rand.NewSource(c.Seed*1000 + run))
-
-	cfg := emr.DefaultConfig()
-	cfg.Scheme = scheme
-	cfg.Telemetry = c.Telemetry
-	cfg.DRAMSize = 256 << 20
-	cfg.StorageSize = 256 << 20
-	rt, err := getRuntime(cfg)
+	scheme := cfg.Scheme
+	rt, err := emr.New(cfg)
 	if err != nil {
 		return 0, err
 	}
-	defer putRuntime(cfg, rt)
 	spec, err := b.Build(rt, c.Size, c.Seed)
 	if err != nil {
 		return 0, err

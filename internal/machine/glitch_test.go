@@ -3,6 +3,7 @@ package machine
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -47,6 +48,8 @@ func TestGlitchFreezeZeroesRatesThenCatchesUp(t *testing.T) {
 	healthy := m.Sample() // t=1ms: window opens at 1ms → frozen from here
 	m.Step(time.Millisecond)
 	frozen := m.Sample() // t=2ms: inside window
+	// PerCore is only valid until the next Sample; keep a copy.
+	frozen.PerCore = slices.Clone(frozen.PerCore)
 	m.Step(2 * time.Millisecond)
 	catchup := m.Sample() // t=4ms: window closed, counter catch-up
 

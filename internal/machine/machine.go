@@ -127,12 +127,9 @@ type Machine struct {
 	state     power.BoardState
 	modelCurA float64
 
-	// telBuf chunk-allocates Telemetry.PerCore slices: samples are handed
-	// out as disjoint sub-slices of a shared block, so callbacks that
-	// retain samples (the Table 2 recorder) stay safe while per-sample
-	// allocation drops to one block per telChunkSamples samples.
-	telBuf []CoreTelemetry
-	telPos int
+	// perCore backs every sample's Telemetry.PerCore, so the flight
+	// loop allocates nothing per sample; see Sample for the contract.
+	perCore []CoreTelemetry
 
 	diskReadRate  float64 // sectors/s, from the current segment
 	diskWriteRate float64
@@ -200,6 +197,7 @@ func New(cfg Config) *Machine {
 		sensor:       power.NewSensor(model, cfg.SensorSeed),
 		pmodel:       model,
 		lastCounters: make([]cpu.Counters, cfg.Cores),
+		perCore:      make([]CoreTelemetry, cfg.Cores),
 		glitchActive: make([]GlitchKind, cfg.Cores),
 		ins:          newInstruments(cfg.Telemetry),
 	}
@@ -372,6 +370,10 @@ func (m *Machine) Step(dt time.Duration) {
 
 // Sample produces a Telemetry observation over the interval since the
 // previous sample.
+//
+// The returned PerCore slice points into a buffer the machine owns and
+// is valid only until the next call to Sample, like bufio.Scanner.Bytes:
+// a caller that keeps a sample beyond that must copy its PerCore.
 func (m *Machine) Sample() Telemetry {
 	now := m.clock.Now()
 	interval := now - m.lastSample
@@ -380,7 +382,7 @@ func (m *Machine) Sample() Telemetry {
 		sec = m.cfg.SampleEvery.Seconds() // degenerate: avoid div-by-zero
 	}
 	hung := m.osActive[OSFaultKernelHang]
-	tel := Telemetry{T: now, PerCore: m.nextPerCore()}
+	tel := Telemetry{T: now, PerCore: m.perCore}
 	for i, c := range m.cores {
 		cur := c.Counters()
 		g, glitching := m.activeGlitch(i)
@@ -471,34 +473,14 @@ func (m *Machine) Sample() Telemetry {
 	return tel
 }
 
-// telChunkSamples is how many samples' worth of per-core telemetry one
-// chunk of Machine.telBuf holds; with the default 4-core board a chunk is
-// 4×256×40 B ≈ 40 KiB.
-const telChunkSamples = 256
-
-// nextPerCore hands out the next per-sample CoreTelemetry slice from the
-// chunk buffer. Each returned slice is full-capacity-clipped and never
-// reused, so samples retained by callbacks (the Table 2 recorder keeps
-// every one) stay immutable; only the amortized chunk allocation is
-// shared.
-func (m *Machine) nextPerCore() []CoreTelemetry {
-	n := len(m.cores)
-	if m.telPos+n > len(m.telBuf) {
-		m.telBuf = make([]CoreTelemetry, n*telChunkSamples)
-		m.telPos = 0
-	}
-	pc := m.telBuf[m.telPos : m.telPos+n : m.telPos+n]
-	m.telPos += n
-	return pc
-}
-
 // SupplyTrips returns how many times the power supply's own over-current
 // protection power cycled the board.
 func (m *Machine) SupplyTrips() int { return m.supplyTrips }
 
 // RunTrace plays a trace through the machine at the telemetry cadence,
 // invoking onSample for every sample. onSample may be nil. It returns the
-// number of samples taken.
+// number of samples taken. Each sample's PerCore is valid only until
+// onSample returns (see Sample).
 //
 // The callback may call PowerCycle or InjectSEL; segment activity
 // continues unchanged (a latchup does not stop the workload).

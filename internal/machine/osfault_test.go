@@ -3,6 +3,7 @@ package machine
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -151,6 +152,7 @@ func TestKernelHangLatchesReadings(t *testing.T) {
 	}
 	m.Step(2 * time.Millisecond)
 	hungA := m.Sample()
+	hungA.PerCore = slices.Clone(hungA.PerCore) // valid only until the next Sample
 	m.Step(time.Millisecond)
 	hungB := m.Sample()
 	if !m.KernelHung() {

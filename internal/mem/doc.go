@@ -23,4 +23,10 @@
 // corruption by design; FlipBit mutates stored bits without touching
 // the ECC check bits, exactly like a radiation strike; addresses are
 // validated against device bounds before any access.
+//
+// Memory is paged: a device allocates 64 KiB pages (data and check bytes
+// together) on the first write or flip that lands in them, and a word on
+// a missing page reads as zero with a zero check byte, a valid codeword.
+// A large device therefore costs only what has been touched, and reads,
+// verification and scrubbing behave exactly as over a flat zeroed array.
 package mem

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"radshield/internal/ecc"
@@ -54,35 +55,54 @@ type Stats struct {
 
 const wordSize = 8 // SECDED granule: 64-bit word + 8 check bits
 
+// Devices are backed by fixed-size pages created on first write or
+// injected flip. A word on a missing page reads as zero with a zero
+// check byte, which is a valid SECDED codeword (Encode(0) == 0), so a
+// device costs only its page table until something touches it: a
+// 256 MiB array that holds a 32 KiB dataset allocates 32 KiB of table
+// plus the pages the dataset lands on.
+const (
+	pageShift = 16
+	pageSize  = 1 << pageShift // bytes per page
+	pageWords = pageSize / wordSize
+)
+
+// page keeps a span's data bytes and their check bytes together. The
+// check bytes stay zero (and unread) on a device without ECC.
+type page struct {
+	data  [pageSize]byte
+	check [pageWords]byte
+}
+
+// word returns the 64-bit little-endian word at page-local index i.
+func (p *page) word(i uint64) uint64 {
+	return binary.LittleEndian.Uint64(p.data[i*wordSize:])
+}
+
 // DRAM is a byte-addressable volatile memory. With ECC enabled every
 // 64-bit word carries SECDED check bits that are verified (and scrubbed)
 // on read; without ECC, injected bit flips silently corrupt data — the
 // paper's unprotected-DRAM configuration (e.g. the Snapdragon 801).
 type DRAM struct {
-	data    []byte
-	check   []byte // one check byte per 8-byte word; nil when ECC disabled
-	stats   Stats
-	next    uint64 // bump-allocator watermark
-	touched uint64 // dirty high-water mark (writes and flips); bounds Reset's zeroing
+	pages []*page // nil until first written or struck
+	size  uint64
+	ecc   bool
+	stats Stats
+	next  uint64 // bump-allocator watermark
 }
 
 // NewDRAM returns a DRAM of the given size (rounded up to a multiple of
 // 8 bytes) with or without SECDED ECC.
 func NewDRAM(size uint64, withECC bool) *DRAM {
 	size = (size + wordSize - 1) / wordSize * wordSize
-	d := &DRAM{data: make([]byte, size)}
-	if withECC {
-		// Encode(0) == 0, so freshly zeroed check bytes are already valid.
-		d.check = make([]byte, size/wordSize)
-	}
-	return d
+	return &DRAM{pages: make([]*page, (size+pageSize-1)/pageSize), size: size, ecc: withECC}
 }
 
 // HasECC reports whether the device verifies SECDED codes on read.
-func (d *DRAM) HasECC() bool { return d.check != nil }
+func (d *DRAM) HasECC() bool { return d.ecc }
 
 // Size returns the capacity in bytes.
-func (d *DRAM) Size() uint64 { return uint64(len(d.data)) }
+func (d *DRAM) Size() uint64 { return d.size }
 
 // Stats returns a snapshot of the device's event counters.
 func (d *DRAM) Stats() Stats { return d.stats }
@@ -113,33 +133,14 @@ func (d *DRAM) AllocBytes(src []byte) (uint64, error) {
 	return addr, nil
 }
 
-// touch raises the dirty high-water mark to cover [addr, addr+n).
-func (d *DRAM) touch(addr, n uint64) {
-	if end := addr + n; end > d.touched {
-		d.touched = end
+// pageAt returns the page holding addr, creating it when missing.
+func (d *DRAM) pageAt(addr uint64) *page {
+	pg := d.pages[addr>>pageShift]
+	if pg == nil {
+		pg = new(page)
+		d.pages[addr>>pageShift] = pg
 	}
-}
-
-// Reset returns the device to its freshly-constructed state: allocator
-// watermark, contents, ECC codes, and event counters are all cleared, so
-// a reused device is indistinguishable from a new one (the EMR runtime
-// pool depends on this). Only the dirty prefix — bounded by a high-water
-// mark maintained on writes and bit flips — is zeroed, so resetting a
-// 64 MB arena that held a 32 KB dataset costs microseconds, not a full
-// memclr. ECC scrub-on-read corrections rewrite words that were already
-// dirtied by the write or flip that corrupted them, so the mark covers
-// them too (word-granularity rounding handles the partial-word cases).
-func (d *DRAM) Reset() {
-	n := (d.touched + wordSize - 1) / wordSize * wordSize
-	if n > d.Size() {
-		n = d.Size()
-	}
-	clear(d.data[:n])
-	if d.check != nil {
-		clear(d.check[:n/wordSize]) // Encode(0) == 0
-	}
-	d.next, d.touched = 0, 0
-	d.stats = Stats{}
+	return pg
 }
 
 // Read implements Memory. On an ECC device every touched word is decoded:
@@ -151,18 +152,35 @@ func (d *DRAM) Read(addr uint64, dst []byte) error {
 		return err
 	}
 	d.stats.Reads++
-	if d.check == nil {
-		copy(dst, d.data[addr:addr+uint64(len(dst))])
+	if len(dst) == 0 {
 		return nil
 	}
-	first := addr / wordSize
-	last := (addr + uint64(len(dst)) - 1) / wordSize
-	for w := first; w <= last; w++ {
-		if err := d.verifyWord(w); err != nil {
-			return err
+	end := addr + uint64(len(dst))
+	if d.ecc {
+		// Words on a missing page are zero codewords: nothing to verify.
+		for w, last := addr/wordSize, (end-1)/wordSize; w <= last; {
+			stop := min(last+1, (w/pageWords+1)*pageWords)
+			if pg := d.pages[w/pageWords]; pg != nil {
+				for ; w < stop; w++ {
+					if err := d.verify(pg, w); err != nil {
+						return err
+					}
+				}
+			}
+			w = stop
 		}
 	}
-	copy(dst, d.data[addr:addr+uint64(len(dst))])
+	for a := addr; a < end; {
+		off := a & (pageSize - 1)
+		n := min(end-a, pageSize-off)
+		out := dst[a-addr : a-addr+n]
+		if pg := d.pages[a>>pageShift]; pg != nil {
+			copy(out, pg.data[off:])
+		} else {
+			clear(out)
+		}
+		a += n
+	}
 	return nil
 }
 
@@ -177,28 +195,32 @@ func (d *DRAM) Write(addr uint64, src []byte) error {
 	if len(src) == 0 {
 		return nil
 	}
-	d.touch(addr, uint64(len(src)))
-	if d.check == nil {
-		copy(d.data[addr:], src)
-		return nil
-	}
 	end := addr + uint64(len(src))
-	first := addr / wordSize
-	last := (end - 1) / wordSize
-	// Partial boundary words: verify before read-modify-write.
-	if addr%wordSize != 0 {
-		if err := d.verifyWord(first); err != nil {
-			return err
+	if d.ecc {
+		first, last := addr/wordSize, (end-1)/wordSize
+		// Partial boundary words: verify before read-modify-write.
+		if addr%wordSize != 0 {
+			if err := d.verifyWord(first); err != nil {
+				return err
+			}
+		}
+		if end%wordSize != 0 && last != first {
+			if err := d.verifyWord(last); err != nil {
+				return err
+			}
 		}
 	}
-	if end%wordSize != 0 && last != first {
-		if err := d.verifyWord(last); err != nil {
-			return err
+	for a := addr; a < end; {
+		off := a & (pageSize - 1)
+		n := min(end-a, pageSize-off)
+		pg := d.pageAt(a)
+		copy(pg.data[off:], src[a-addr:a-addr+n])
+		if d.ecc {
+			for i, last := off/wordSize, (off+n-1)/wordSize; i <= last; i++ {
+				pg.check[i] = ecc.Encode(pg.word(i))
+			}
 		}
-	}
-	copy(d.data[addr:], src)
-	for w := first; w <= last; w++ {
-		d.check[w] = ecc.Encode(d.word(w))
+		a += n
 	}
 	return nil
 }
@@ -210,41 +232,33 @@ func (d *DRAM) FlipBit(addr uint64, bit uint) error {
 	if err := d.bounds(addr, 1); err != nil {
 		return err
 	}
-	d.touch(addr, 1)
-	d.data[addr] ^= 1 << (bit & 7)
+	d.pageAt(addr).data[addr&(pageSize-1)] ^= 1 << (bit & 7)
 	d.stats.FlipsInjected++
 	return nil
 }
 
-// word assembles the 64-bit little-endian word at index w.
-func (d *DRAM) word(w uint64) uint64 {
-	off := w * wordSize
-	var v uint64
-	for i := 0; i < wordSize; i++ {
-		v |= uint64(d.data[off+uint64(i)]) << (8 * uint(i))
-	}
-	return v
-}
-
-func (d *DRAM) setWord(w, v uint64) {
-	off := w * wordSize
-	for i := 0; i < wordSize; i++ {
-		d.data[off+uint64(i)] = byte(v >> (8 * uint(i)))
-	}
-}
-
-// verifyWord decodes word w, scrubbing single-bit errors.
+// verifyWord decodes word w wherever it lives, scrubbing single-bit
+// errors. A word on a missing page is a zero codeword and always OK.
 func (d *DRAM) verifyWord(w uint64) error {
-	data, res := ecc.Decode(d.word(w), d.check[w])
+	if pg := d.pages[w/pageWords]; pg != nil {
+		return d.verify(pg, w)
+	}
+	return nil
+}
+
+// verify decodes word w on its page pg, scrubbing single-bit errors.
+func (d *DRAM) verify(pg *page, w uint64) error {
+	i := w % pageWords
+	data, res := ecc.Decode(pg.word(i), pg.check[i])
 	switch res {
 	case ecc.OK:
 		return nil
 	case ecc.CorrectedData:
-		d.setWord(w, data)
+		binary.LittleEndian.PutUint64(pg.data[i*wordSize:], data)
 		d.stats.Corrected++
 		return nil
 	case ecc.CorrectedCheck:
-		d.check[w] = ecc.Encode(data)
+		pg.check[i] = ecc.Encode(data)
 		d.stats.Corrected++
 		return nil
 	default:

@@ -155,7 +155,7 @@ func TestAllocAlignmentAndExhaustion(t *testing.T) {
 	}
 }
 
-func TestAllocBytesAndReset(t *testing.T) {
+func TestAllocBytesRoundTrip(t *testing.T) {
 	d := NewDRAM(256, true)
 	addr, err := d.AllocBytes([]byte("hello"))
 	if err != nil {
@@ -165,16 +165,73 @@ func TestAllocBytesAndReset(t *testing.T) {
 	if err := d.Read(addr, dst); err != nil || string(dst) != "hello" {
 		t.Fatalf("AllocBytes round trip = %q, %v", dst, err)
 	}
-	d.Reset()
-	addr2, err := d.Alloc(5)
-	if err != nil {
+}
+
+// TestEmptyAccesses pins zero-length reads and writes at address 0 on
+// every device: the word range of an empty access must not be computed
+// (addr+len-1 underflows), and the access still counts.
+func TestEmptyAccesses(t *testing.T) {
+	for _, dev := range []struct {
+		name string
+		m    Memory
+	}{
+		{"dram", NewDRAM(4096, false)},
+		{"ecc-dram", NewDRAM(4096, true)},
+		{"storage", NewStorage(4096)},
+		{"bus", func() Memory { b := NewBus(); b.Map(NewStorage(4096)); b.Map(NewDRAM(4096, true)); return b }()},
+	} {
+		for _, addr := range []uint64{0, 4096} {
+			if err := dev.m.Read(addr, nil); err != nil {
+				t.Errorf("%s: Read(%d, nil) = %v", dev.name, addr, err)
+			}
+			if err := dev.m.Write(addr, nil); err != nil {
+				t.Errorf("%s: Write(%d, nil) = %v", dev.name, addr, err)
+			}
+		}
+	}
+	d := NewDRAM(64, true)
+	d.Read(0, nil)
+	if st := d.Stats(); st.Reads != 1 {
+		t.Errorf("empty Read counted %d reads, want 1", st.Reads)
+	}
+	s := NewStorage(4096)
+	s.Read(0, nil)
+	if s.ReadSectors() != 0 {
+		t.Errorf("empty Read counted %d sectors, want 0", s.ReadSectors())
+	}
+}
+
+// TestUntouchedMemoryIsFree pins the paging contract: a large device
+// costs only its page table until written or struck, reads of untouched
+// memory return zeros without creating pages, and a write creates only
+// the pages it covers.
+func TestUntouchedMemoryIsFree(t *testing.T) {
+	d := NewDRAM(256<<20, true)
+	if got := d.present(); got != 0 {
+		t.Fatalf("fresh device has %d pages, want 0", got)
+	}
+	buf := make([]byte, 3*pageSize)
+	buf[0] = 1
+	if err := d.Read(pageSize/2, buf); err != nil {
 		t.Fatal(err)
 	}
-	if addr2 != 0 {
-		t.Errorf("post-Reset Alloc = %d, want 0", addr2)
+	if !bytes.Equal(buf, make([]byte, len(buf))) {
+		t.Fatal("untouched memory read nonzero")
 	}
-	if err := d.Read(0, dst); err != nil {
-		t.Fatalf("post-Reset ECC read failed: %v", err)
+	if got := d.present(); got != 0 {
+		t.Fatalf("reads created %d pages, want 0", got)
+	}
+	if err := d.Write(pageSize-4, []byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.FlipBit(d.Size()-1, 7); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.present(); got != 3 {
+		t.Fatalf("page-straddling write and one flip created %d pages, want 3", got)
+	}
+	if err := d.Read(pageSize-4, buf[:8]); err != nil || !bytes.Equal(buf[:8], []byte{1, 2, 3, 4, 5, 6, 7, 8}) {
+		t.Fatalf("straddling round trip = %v, %v", buf[:8], err)
 	}
 }
 
@@ -216,16 +273,6 @@ func TestStorageECCAlwaysOn(t *testing.T) {
 	}
 	if s.Stats().Corrected != 1 {
 		t.Errorf("Corrected = %d, want 1", s.Stats().Corrected)
-	}
-}
-
-func TestStorageReset(t *testing.T) {
-	s := NewStorage(1024)
-	s.Write(0, []byte{1})
-	s.Read(0, make([]byte, 1))
-	s.Reset()
-	if s.ReadSectors() != 0 || s.WriteSectors() != 0 {
-		t.Error("Reset did not clear sector counters")
 	}
 }
 
@@ -302,4 +349,15 @@ func TestWordsWithECC(t *testing.T) {
 	if d, _ := words[1].Read(); d != 2 {
 		t.Errorf("word1 = %d, want 2", d)
 	}
+}
+
+// present counts the device's created pages.
+func (d *DRAM) present() int {
+	n := 0
+	for _, pg := range d.pages {
+		if pg != nil {
+			n++
+		}
+	}
+	return n
 }

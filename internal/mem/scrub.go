@@ -55,7 +55,9 @@ func NewScrubber(d *DRAM) *Scrubber {
 // Step verifies the next n words (correcting any single-bit errors in
 // place) and returns how many uncorrectable words it encountered.
 // Uncorrectable words are left untouched and reported via Errors; the
-// scrubber continues past them.
+// scrubber continues past them. Words on a page nothing has written or
+// struck are zero codewords, so the scrubber counts them as visited and
+// skips their page in one step.
 func (s *Scrubber) Step(n int) int {
 	words := s.dram.Size() / wordSize
 	if words == 0 {
@@ -63,23 +65,19 @@ func (s *Scrubber) Step(n int) int {
 	}
 	correctedBefore := s.dram.Stats().Corrected
 	uncorrectable := 0
-	for i := 0; i < n; i++ {
-		if err := s.dram.verifyWord(s.next); err != nil {
-			uncorrectable++
-			s.lastErrors = append(s.lastErrors, err)
-			if len(s.lastErrors) > 16 {
-				s.lastErrors = s.lastErrors[1:]
-			}
-			if s.reg != nil {
-				s.uncorrectedCtr.Inc()
-				s.reg.Emit(telemetry.Event{
-					Kind:   telemetry.KindScrubError,
-					Fields: map[string]any{"word": s.next, "error": err.Error()},
-				})
+	for left := uint64(max(n, 0)); left > 0; {
+		stop := min(s.next+left, words, (s.next/pageWords+1)*pageWords)
+		if pg := s.dram.pages[s.next/pageWords]; pg != nil {
+			for w := s.next; w < stop; w++ {
+				if err := s.dram.verify(pg, w); err != nil {
+					uncorrectable++
+					s.record(w, err)
+				}
 			}
 		}
-		s.visited++
-		s.next++
+		left -= stop - s.next
+		s.visited += stop - s.next
+		s.next = stop
 		if s.next == words {
 			s.next = 0
 			s.passes++
@@ -89,6 +87,22 @@ func (s *Scrubber) Step(n int) int {
 	s.visitedCtr.Add(uint64(n))
 	s.correctedCtr.Add(s.dram.Stats().Corrected - correctedBefore)
 	return uncorrectable
+}
+
+// record keeps err among the last 16 uncorrectable-word errors and
+// reports it to telemetry.
+func (s *Scrubber) record(w uint64, err error) {
+	s.lastErrors = append(s.lastErrors, err)
+	if len(s.lastErrors) > 16 {
+		s.lastErrors = s.lastErrors[1:]
+	}
+	if s.reg != nil {
+		s.uncorrectedCtr.Inc()
+		s.reg.Emit(telemetry.Event{
+			Kind:   telemetry.KindScrubError,
+			Fields: map[string]any{"word": w, "error": err.Error()},
+		})
+	}
 }
 
 // Passes returns how many full sweeps of the array have completed.

@@ -89,3 +89,54 @@ func TestScrubberPreventsAccumulation(t *testing.T) {
 		t.Fatal("unscrubbed array accumulated no uncorrectable words; strike count too low for the test")
 	}
 }
+
+// TestScrubberSkipsMissingPages pins the scrubber's page skip: over a
+// sparse device it must report exactly what it reports over the same
+// device with every page created by zero writes — passes, visits,
+// corrections and uncorrectable words — for steps that stop inside,
+// at the edge of, and across pages and the end of the array. The skip
+// itself must create no page.
+func TestScrubberSkipsMissingPages(t *testing.T) {
+	const size = 5*pageSize + 1000 // pages 2 and 4 stay missing
+	strike := func(d *DRAM) {
+		d.FlipBit(5, 1)                                  // page 0, single
+		d.FlipBit(3*pageSize+64, 0)                      // page 3, double
+		d.FlipBit(3*pageSize+65, 4)                      //
+		d.FlipBit(size-3, 6)                             // partial last page
+		d.Write(pageSize-4, []byte{9, 8, 7, 6, 5, 4, 3}) // straddles pages 0 and 1
+	}
+	sparse := NewDRAM(size, true)
+	strike(sparse)
+	full := NewDRAM(size, true)
+	for a := uint64(0); a < size; a += pageSize {
+		if err := full.Write(a, make([]byte, min(pageSize, size-a))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	strike(full)
+	present := sparse.present()
+
+	ss, fs := NewScrubber(sparse), NewScrubber(full)
+	words := int(size / wordSize)
+	for _, n := range []int{1, pageWords - 2, 3, pageWords, 7, words, 2*words + 5, 0, pageWords/2 + 1} {
+		if got, want := ss.Step(n), fs.Step(n); got != want {
+			t.Fatalf("Step(%d): %d uncorrectable on sparse device, %d on full", n, got, want)
+		}
+		if ss.Passes() != fs.Passes() || ss.Visited() != fs.Visited() || ss.next != fs.next {
+			t.Fatalf("Step(%d): sparse passes/visited/next %d/%d/%d, full %d/%d/%d", n,
+				ss.Passes(), ss.Visited(), ss.next, fs.Passes(), fs.Visited(), fs.next)
+		}
+		if sparse.Stats().Corrected != full.Stats().Corrected {
+			t.Fatalf("Step(%d): sparse corrected %d, full %d", n, sparse.Stats().Corrected, full.Stats().Corrected)
+		}
+		if len(ss.Errors()) != len(fs.Errors()) {
+			t.Fatalf("Step(%d): sparse kept %d errors, full %d", n, len(ss.Errors()), len(fs.Errors()))
+		}
+	}
+	if ss.Passes() < 3 || sparse.Stats().Corrected != 2 {
+		t.Fatalf("scrub did too little: %d passes, %d corrected", ss.Passes(), sparse.Stats().Corrected)
+	}
+	if got := sparse.present(); got != present || present != 4 {
+		t.Fatalf("pages present: %d before scrubbing, %d after; want 4 both", present, got)
+	}
+}

@@ -39,12 +39,6 @@ func (s *Storage) Alloc(n uint64) (uint64, error) { return s.dram.Alloc(n) }
 // address.
 func (s *Storage) AllocBytes(src []byte) (uint64, error) { return s.dram.AllocBytes(src) }
 
-// Reset clears contents and the allocator watermark.
-func (s *Storage) Reset() {
-	s.dram.Reset()
-	s.readSector, s.writeSector = 0, 0
-}
-
 // Read implements Memory, counting the sectors touched.
 func (s *Storage) Read(addr uint64, dst []byte) error {
 	if err := s.dram.Read(addr, dst); err != nil {
